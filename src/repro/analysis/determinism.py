@@ -5,8 +5,9 @@ dominant class of data references: when the switch tables map a call
 pattern to a *single* clause, no choice point is created.  This module
 makes that claim checkable:
 
-* partition the clause set by first-argument type/value (the same
-  metadata :mod:`repro.wam.indexing` dispatches on);
+* partition the clause set by first-argument type/value with
+  :func:`repro.wam.indexing.partition_clauses`, the grouping the
+  switch tables are built from;
 * rebuild the procedure block from the clauses and require the emitted
   switch tables to cover exactly the clause set (**D301** — the block
   being executed is the block this clause set compiles to);
@@ -23,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..wam import instructions as I
 from ..wam.compiler import CompiledClause
-from ..wam.indexing import ProcedureLayout, build_procedure_layout
+from ..wam.indexing import (ProcedureLayout, build_procedure_layout,
+                            partition_clauses)
 from .verifier import Finding
 
 __all__ = ["RULES", "ProcedureReport", "analyze_clauses"]
@@ -43,9 +45,11 @@ RULES: Dict[str, str] = {
 class ProcedureReport:
     """Result of the determinism analysis of one procedure."""
 
-    #: (first_arg_kind, first_arg_key) -> clause positions, in source
-    #: order; ``("var", None)`` collects the unindexable clauses that
-    #: are woven into every dispatch chain
+    #: first-argument (kind, key) -> clause positions, in source order,
+    #: from :func:`repro.wam.indexing.partition_clauses` (``nil`` folded
+    #: into the constants); ``("list", None)`` holds the list-headed
+    #: clauses and ``("var", None)`` the unindexable clauses that are
+    #: woven into every dispatch chain
     partitions: Dict[Tuple[str, Optional[tuple]], List[int]] = \
         field(default_factory=dict)
     #: dispatch keys that select exactly one clause (no choice point)
@@ -66,21 +70,21 @@ def analyze_clauses(clauses: Sequence[CompiledClause],
     When the block was built by the code optimizer, pass the same
     *optimizer* (usually muted) so the rebuild matches its output."""
     report = ProcedureReport()
-    var_positions: List[int] = []
-    for pos, clause in enumerate(clauses):
-        kind = clause.first_arg_kind
-        key = clause.first_arg_key if kind != "var" else None
-        report.partitions.setdefault((kind, key), []).append(pos)
-        if kind == "var":
-            var_positions.append(pos)
-
-    for (kind, key), positions in report.partitions.items():
-        if kind == "var":
-            continue
-        # a dispatch on this key reaches its own clauses plus every
-        # var-headed clause (they match any first argument)
-        if len(set(positions) | set(var_positions)) == 1:
-            report.deterministic_keys += 1
+    if clauses and clauses[0].arity:
+        part = partition_clauses(clauses, 0)
+        report.partitions.update(part.groups)
+        if part.list_positions:
+            report.partitions[("list", None)] = part.list_positions
+        var_positions = part.var_positions
+    else:
+        var_positions = list(range(len(clauses)))
+    # a dispatch on a key reaches its own clauses plus every var-headed
+    # clause (they match any first argument)
+    if not var_positions:
+        report.deterministic_keys = sum(
+            len(positions) == 1 for positions in report.partitions.values())
+    else:
+        report.partitions[("var", None)] = var_positions
 
     if layout is None:
         layout = build_procedure_layout(clauses, index=index,

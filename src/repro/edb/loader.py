@@ -171,7 +171,8 @@ class DynamicLoader:
         """Snapshot of this procedure's live cache entries, for EXPLAIN.
 
         Returns ``[(key, code), ...]`` pairs where *key* is the full
-        cache key ``(name, arity, version, pattern, depth, opt_level)``.
+        cache key ``(name, arity, version, pattern, depth, opt_level,
+        modes_epoch)``.
         Read-only: no counters move and the cache is not touched beyond
         holding the latch for a consistent copy.
         """
@@ -283,10 +284,8 @@ class DynamicLoader:
 
     def _as_compiled(self, machine, sc: StoredClause,
                      code: list) -> CompiledClause:
-        kind, key = _index_key(machine, sc.summaries)
         return CompiledClause(
             code=code, head_name="", arity=len(sc.summaries),
-            first_arg_kind=kind, first_arg_key=key,
             arg_keys=tuple(_summary_key(machine, s)
                            for s in sc.summaries))
 
@@ -318,19 +317,13 @@ class DynamicLoader:
         self.clauses_delivered += len(rows)
         compiled = []
         for row in rows:
-            code = []
-            for i, value in enumerate(row):
-                code.append(
-                    (I.GET_CONSTANT, _value_const(machine, value),
-                     ("x", i)))
+            consts = [_value_const(machine, value) for value in row]
+            code = [(I.GET_CONSTANT, const, ("x", i))
+                    for i, const in enumerate(consts)]
             code.append((I.PROCEED,))
-            kind, key = _fact_index_key(machine, row)
             compiled.append(CompiledClause(
                 code=code, head_name=name, arity=arity,
-                first_arg_kind=kind, first_arg_key=key,
-                arg_keys=tuple(
-                    ("constant", _value_const(machine, value))
-                    for value in row)))
+                arg_keys=tuple(("constant", const) for const in consts)))
         return self._build(machine, compiled, name, arity)
 
     # ------------------------------------------------------------- counters
@@ -381,17 +374,6 @@ def _value_const(machine, value) -> tuple:
     return ("int", value)
 
 
-def _fact_index_key(machine, row: tuple) -> Tuple[str, Optional[tuple]]:
-    if not row:
-        return ("var", None)
-    first = row[0]
-    if isinstance(first, str):
-        return ("constant", ("atom", machine.dictionary.intern(first, 0)))
-    if isinstance(first, float):
-        return ("constant", ("flt", first))
-    return ("constant", ("int", first))
-
-
 def _summary_key(machine, s: tuple) -> Tuple[str, Optional[tuple]]:
     """Index metadata of one stored head-argument summary."""
     kind = s[0]
@@ -409,14 +391,6 @@ def _summary_key(machine, s: tuple) -> Tuple[str, Optional[tuple]]:
         return ("list", None)
     return ("structure",
             ("fun", machine.dictionary.intern(s[1], s[2])))
-
-
-def _index_key(machine, summaries: Tuple[tuple, ...]
-               ) -> Tuple[str, Optional[tuple]]:
-    """First-argument index metadata from stored summaries."""
-    if not summaries:
-        return ("var", None)
-    return _summary_key(machine, summaries[0])
 
 
 def _count_refs(code: list) -> int:

@@ -636,23 +636,32 @@ class ExternalStore:
         proc.nclauses += 1
         proc.version += 1
 
-    def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
-        with self.writing():
+    def retract_clause(self, name: str, arity: int, clause_id: int) -> bool:
+        """Remove the clause *clause_id* of a stored rules procedure.
+        Returns False when there is no such clause: then nothing is
+        mutated or logged and the epoch is not bumped."""
+        with self.writing(bump=False):
             self._check_writable()
+            if not self._apply_retract(name, arity, clause_id):
+                return False
             # Retraction is clause_id-based; rather than mirror the id
             # bookkeeping, stop tracking the procedure — it simply goes
             # back to the WAM path.
             self.datalog_rules.drop((name, arity))
-            self._apply_retract(name, arity, clause_id)
             self._log({"op": "retract", "name": name, "arity": arity,
                        "clause_id": clause_id})
+            if self._rw.write_depth() == 1:
+                self.mutation_epoch += 1
+            return True
 
-    def _apply_retract(self, name: str, arity: int, clause_id: int) -> None:
+    def _apply_retract(self, name: str, arity: int, clause_id: int) -> bool:
         proc = self.get(name, arity)
-        proc.relation.delete_where({proc.arity: clause_id})
+        removed = proc.relation.delete_where({proc.arity: clause_id})
         self.clauses_relation.delete_where({0: proc.key, 1: clause_id})
-        proc.nclauses -= 1
-        proc.version += 1
+        if removed:
+            proc.nclauses -= removed
+            proc.version += 1
+        return removed > 0
 
     def drop_procedure(self, name: str, arity: int) -> bool:
         """Remove a stored procedure entirely (``db_drop/1``).
@@ -795,9 +804,9 @@ class ExternalStore:
         elif op == "retract":
             # Mirror the live path: retraction stops tracking the
             # procedure (it goes back to the WAM).
-            self.datalog_rules.drop((record["name"], record["arity"]))
-            self._apply_retract(record["name"], record["arity"],
-                                record["clause_id"])
+            if self._apply_retract(record["name"], record["arity"],
+                                   record["clause_id"]):
+                self.datalog_rules.drop((record["name"], record["arity"]))
         elif op == "drop":
             self._apply_drop(record["name"], record["arity"])
         elif op == "materialise":

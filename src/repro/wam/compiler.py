@@ -70,15 +70,21 @@ class CompiledClause:
     code: List[tuple]
     head_name: str
     arity: int
-    first_arg_kind: str          # 'var' | 'constant' | 'list' | 'structure' | 'nil'
-    first_arg_key: Optional[tuple]  # ('atom', id) | ('int', v) | ('flt', v) | fid
+    #: per-argument (kind, key) for *every* head position, the only
+    #: stored index metadata: kind is 'var' | 'constant' | 'nil' |
+    #: 'list' | 'structure', key is ('atom', id) | ('int', v) |
+    #: ('flt', v) | ('fun', fid) | None.  Clause grouping on any
+    #: position goes through :func:`repro.wam.indexing.partition_clauses`.
+    arg_keys: Tuple[Tuple[str, Optional[tuple]], ...]
     nvars: int = 0
-    #: per-argument (kind, key) for *every* head position — the
-    #: determinism-driven dispatch pass (repro.wam.optimizer) partitions
-    #: chains on any argument, not just the first.  ``None`` (the
-    #: default) means "unknown", which disables chain demotion for this
-    #: clause.
-    arg_keys: Optional[Tuple[Tuple[str, Optional[tuple]], ...]] = None
+
+    @property
+    def first_arg_kind(self) -> str:
+        return self.arg_keys[0][0] if self.arg_keys else "var"
+
+    @property
+    def first_arg_key(self) -> Optional[tuple]:
+        return self.arg_keys[0][1] if self.arg_keys else None
 
 
 class CompileContext:
@@ -208,17 +214,13 @@ class ClauseCompiler:
                 last = pos == len(goals) - 1
                 self._compile_goal(state, code, goal, last, needs_env)
 
-        arg_keys = tuple(self._arg_index_key(arg) for arg in head_args)
-        first_kind, first_key = arg_keys[0] if arg_keys else ("var", None)
         name = head.name if isinstance(head, Struct) else head.name
         compiled = CompiledClause(
             code=code,
             head_name=name,
             arity=arity,
-            first_arg_kind=first_kind,
-            first_arg_key=first_key,
+            arg_keys=tuple(self._arg_index_key(arg) for arg in head_args),
             nvars=len(perm_vars) + len(state.temp_index),
-            arg_keys=arg_keys,
         )
         if _SELF_VERIFY:
             from ..analysis.verifier import verify_clause

@@ -15,6 +15,10 @@ clause, the switch jumps straight to the clause code — **no choice point
 is created**, which is precisely the determinism transformation the paper
 credits with eliminating the dominant class of data references (§3.2.1).
 
+:func:`partition_clauses` is the one place clauses are grouped by an
+argument's type and value; the optimizer's guards and the determinism
+analysis group through it too.
+
 The paper also notes that indexing on *type* is "a feature of no value to
 a relational DBMS [but] very effective in an inferential engine"; the
 type dispatch of ``switch_on_term`` is that feature.
@@ -23,7 +27,7 @@ type dispatch of ``switch_on_term`` is that feature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import instructions as I
 from .assembler import assemble, assemble_with_offsets
@@ -46,6 +50,44 @@ class ProcedureLayout:
     entries: List[int] = field(default_factory=list)
     #: offset of the trailing ``fail`` sentinel, when one was emitted
     fail_offset: Optional[int] = None
+
+
+@dataclass
+class ArgPartition:
+    """Clause positions grouped by the type and value of one head
+    argument — the grouping behind the ``switch_on_term`` tables, the
+    optimizer's ``switch_on_arg`` guards and the D301/D302 partitions.
+    Every list keeps source order."""
+
+    #: ``("constant" | "structure", key)`` -> positions, keys in
+    #: first-appearance order; ``nil`` is folded into the constants
+    groups: Dict[Tuple[str, Optional[tuple]], List[int]]
+    #: clauses with a variable at the position (they match any value)
+    var_positions: List[int]
+    #: list-headed clauses (one list type, no per-value key)
+    list_positions: List[int]
+
+
+def partition_clauses(clauses: Sequence[CompiledClause], argpos: int,
+                      positions: Optional[Iterable[int]] = None
+                      ) -> ArgPartition:
+    """Group *positions* (default: every clause) by argument *argpos*
+    in one pass over the clauses' ``arg_keys``."""
+    groups: Dict[Tuple[str, Optional[tuple]], List[int]] = {}
+    var_positions: List[int] = []
+    list_positions: List[int] = []
+    if positions is None:
+        positions = range(len(clauses))
+    for pos in positions:
+        kind, key = clauses[pos].arg_keys[argpos]
+        if kind == "var":
+            var_positions.append(pos)
+        elif kind == "list":
+            list_positions.append(pos)
+        else:
+            groups.setdefault(("constant" if kind == "nil" else kind, key),
+                              []).append(pos)
+    return ArgPartition(groups, var_positions, list_positions)
 
 
 def build_procedure_code(
@@ -130,14 +172,7 @@ def build_procedure_layout(
 
     for label, positions in pending:
         out.append((I.LABEL, label))
-        sub_last = len(positions) - 1
-        for j, pos in enumerate(positions):
-            if j == 0:
-                out.append((I.TRY, entry_labels[pos]))
-            elif j < sub_last:
-                out.append((I.RETRY, entry_labels[pos]))
-            else:
-                out.append((I.TRUST, entry_labels[pos]))
+        _emit_try_chain(out, [entry_labels[pos] for pos in positions])
 
     out.append((I.LABEL, _FAIL_LABEL))
     out.append((I.FAIL_OP,))
@@ -148,15 +183,22 @@ def build_procedure_layout(
         fail_offset=offsets[_FAIL_LABEL])
 
 
+def _emit_try_chain(out: List[tuple], labels: List[str]) -> None:
+    """A ``try``/``retry``/``trust`` sequence over clause entries."""
+    last = len(labels) - 1
+    for j, label in enumerate(labels):
+        op = I.TRY if j == 0 else I.RETRY if j < last else I.TRUST
+        out.append((op, label))
+
+
 def _emit_guard(out: List[tuple], plan, entry_labels: List[str],
                 seq_label: str, pending: List[Tuple[str, List[int]]]
                 ) -> None:
     """Emit one ``switch_on_arg`` from a
     :class:`~repro.wam.optimizer.GuardPlan`.  Multi-clause dispatch
     targets become sub-chain labels queued on *pending* (emitted before
-    ``$fail``); singleton targets jump straight to the clause entry —
-    which makes the legacy pairwise-distinct plan's emission identical
-    to what this module always produced."""
+    ``$fail``); singleton targets jump straight to the clause entry,
+    which is all a local pairwise-distinct plan has."""
 
     def target(positions) -> str:
         if not positions:
@@ -176,22 +218,8 @@ def _emit_guard(out: List[tuple], plan, entry_labels: List[str],
 def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
                  entry_labels: List[str], optimizer,
                  pending: List[Tuple[str, List[int]]]) -> None:
-    var_positions = [
-        i for i, c in enumerate(clauses) if c.first_arg_kind == "var"
-    ]
-
-    # --- constants -----------------------------------------------------
-    const_keys: List[tuple] = []
-    for c in clauses:
-        if c.first_arg_kind in ("constant", "nil") and c.first_arg_key not in const_keys:
-            const_keys.append(c.first_arg_key)  # type: ignore[arg-type]
-    # --- structures ----------------------------------------------------
-    struct_keys: List[tuple] = []
-    for c in clauses:
-        if c.first_arg_kind == "structure" and c.first_arg_key not in struct_keys:
-            struct_keys.append(c.first_arg_key)  # type: ignore[arg-type]
-    has_list = any(c.first_arg_kind == "list" for c in clauses)
-
+    part = partition_clauses(clauses, 0)
+    var_positions = part.var_positions
     chains: List[Tuple[str, List[int]]] = []  # (label, clause positions)
 
     def chain_label(positions: List[int], tag: str) -> str:
@@ -204,56 +232,30 @@ def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
         chains.append((label, positions))
         return label
 
-    # Constant dispatch.
-    const_table: Dict[tuple, str] = {}
-    for key in const_keys:
-        positions = sorted(
-            set(var_positions)
-            | {
-                i
-                for i, c in enumerate(clauses)
-                if c.first_arg_kind in ("constant", "nil")
-                and c.first_arg_key == key
-            }
-        )
-        const_table[key] = chain_label(positions, "con")
-    const_default = chain_label(sorted(var_positions), "cdef")
+    def with_vars(positions: List[int]) -> List[int]:
+        # var-headed clauses match every key, at their source position
+        return sorted(positions + var_positions) if var_positions \
+            else positions
 
-    # Structure dispatch.
-    struct_table: Dict[tuple, str] = {}
-    for key in struct_keys:
-        positions = sorted(
-            set(var_positions)
-            | {
-                i
-                for i, c in enumerate(clauses)
-                if c.first_arg_kind == "structure" and c.first_arg_key == key
-            }
-        )
-        struct_table[key] = chain_label(positions, "str")
-    struct_default = chain_label(sorted(var_positions), "sdef")
+    # Constant then structure dispatch: a table over the keys in
+    # first-appearance order, defaulting to the var-headed clauses.
+    targets: List[str] = []
+    switches: List[tuple] = []
+    for kind, tag, entry, op in (
+            ("constant", "con", "$con_entry", I.SWITCH_ON_CONSTANT),
+            ("structure", "str", "$str_entry", I.SWITCH_ON_STRUCTURE)):
+        table = {key: chain_label(with_vars(positions), tag)
+                 for (k, key), positions in part.groups.items()
+                 if k == kind}
+        default = chain_label(var_positions, f"{tag[0]}def")
+        if table:
+            switches += [(I.LABEL, entry), (op, table, default)]
+        targets.append(entry if table else default)
+    list_label = chain_label(with_vars(part.list_positions), "lis")
 
-    # List dispatch.
-    list_positions = sorted(
-        set(var_positions)
-        | {i for i, c in enumerate(clauses) if c.first_arg_kind == "list"}
-    )
-    list_label = chain_label(list_positions, "lis") if (
-        has_list or var_positions) else _FAIL_LABEL
-
-    out.append((
-        I.SWITCH_ON_TERM,
-        "$var_entry",
-        "$con_entry" if const_table else const_default,
-        list_label,
-        "$str_entry" if struct_table else struct_default,
-    ))
-    if const_table:
-        out.append((I.LABEL, "$con_entry"))
-        out.append((I.SWITCH_ON_CONSTANT, const_table, const_default))
-    if struct_table:
-        out.append((I.LABEL, "$str_entry"))
-        out.append((I.SWITCH_ON_STRUCTURE, struct_table, struct_default))
+    out.append((I.SWITCH_ON_TERM, "$var_entry", targets[0], list_label,
+                targets[1]))
+    out.extend(switches)
 
     # Emit the try/retry/trust chains, each demoted behind a
     # switch_on_arg guard when the optimizer proves it deterministic on
@@ -268,11 +270,4 @@ def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
             _emit_guard(out, plan, entry_labels, f"$seq_{label[1:]}",
                         pending)
             out.append((I.LABEL, f"$seq_{label[1:]}"))
-        last = len(positions) - 1
-        for j, pos in enumerate(positions):
-            if j == 0:
-                out.append((I.TRY, entry_labels[pos]))
-            elif j < last:
-                out.append((I.RETRY, entry_labels[pos]))
-            else:
-                out.append((I.TRUST, entry_labels[pos]))
+        _emit_try_chain(out, [entry_labels[pos] for pos in positions])

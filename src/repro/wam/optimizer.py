@@ -13,8 +13,9 @@ ever executed (docs/OPTIMIZER.md):
   interpretation overhead (``instr_count``), the cost the paper's
   compiled-vs-interpreted argument hinges on (§2.1, §3.2.1).
 
-* **Determinism-driven dispatch** (level ``"full"``) consults the same
-  per-argument partition analysis as :mod:`repro.analysis.determinism`:
+* **Determinism-driven dispatch** (level ``"full"``) groups a chain's
+  clauses with :func:`repro.wam.indexing.partition_clauses`, the
+  routine behind the switch tables and :mod:`repro.analysis.determinism`:
   when every clause of a try/retry/trust chain holds a pairwise-distinct
   constant at some argument position, at most one clause can match any
   bound value, so the chain is demoted behind a ``switch_on_arg`` guard
@@ -47,11 +48,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import VerifyError
 from . import instructions as I
 from .compiler import CompiledClause
-from .indexing import build_procedure_code, build_procedure_layout
+from .indexing import (build_procedure_code, build_procedure_layout,
+                       partition_clauses)
 
 __all__ = ["OPT_LEVELS", "GuardPlan", "Optimizer",
-           "build_optimized_block", "chain_guard", "default_level",
-           "fuse_code", "mode_guard", "set_default_level"]
+           "build_optimized_block", "default_level", "fuse_code",
+           "set_default_level"]
 
 #: accepted optimization levels (docs/OPTIMIZER.md)
 OPT_LEVELS = ("off", "peephole", "full")
@@ -146,102 +148,29 @@ def fuse_code(code: Sequence[tuple]) -> Tuple[List[tuple], int]:
 # Determinism-driven chain demotion
 # =====================================================================
 
-def chain_guard(clauses: Sequence[CompiledClause],
-                positions: Sequence[int], min_arg: int
-                ) -> Optional[Tuple[int, Dict[tuple, int]]]:
-    """``(argpos, {const_key: clause position})`` when the chain over
-    *positions* is provably deterministic on some argument ≥ *min_arg*:
-    every clause holds a constant there and the constants are pairwise
-    distinct, so a bound value selects at most one clause (and a bound
-    list/structure selects none).  ``None`` when no such position
-    exists or any clause lacks per-argument key metadata.
-    """
-    chain = [clauses[p] for p in positions]
-    if len(chain) < 2:
-        return None
-    arity = chain[0].arity
-    if any(c.arg_keys is None or len(c.arg_keys) != arity for c in chain):
-        return None
-    for k in range(min_arg, arity):
-        keys = []
-        for c in chain:
-            kind, key = c.arg_keys[k]
-            if kind not in ("constant", "nil") or key is None:
-                keys = None
-                break
-            keys.append(key)
-        if keys is not None and len(set(keys)) == len(keys):
-            return k, {key: positions[i] for i, key in enumerate(keys)}
-    return None
-
-
 @dataclass(frozen=True)
 class GuardPlan:
-    """One ``switch_on_arg`` guard, generalized to sub-chains.
+    """One ``switch_on_arg`` guard over a try/retry/trust chain.
 
     ``table`` maps each constant key to the clause positions a call
     bound to that key must still try, in source order (the matching
     constants plus every clause holding a variable at ``argpos``);
     ``var_positions`` are the variable-at-``argpos`` clauses alone —
     the target for a bound value matching no key (and for bound lists/
-    structures, which is why planning excludes procedures with list or
-    structure keys at ``argpos``).  An unbound argument always takes
-    the full sequential chain.  The plan is therefore observationally
+    structures, which is why planning excludes positions with list or
+    structure keys).  An unbound argument always takes the full
+    sequential chain.  The plan is therefore observationally
     equivalent for *every* call pattern; inferred modes only decide
     where planning is worth attempting (docs/OPTIMIZER.md,
     "interprocedural guards").
 
-    The legacy pairwise-distinct-constants guard is the special case
-    of singleton targets and no variable clauses.
+    The local pairwise-distinct-constants proof is the case of
+    singleton targets and no variable clauses.
     """
     argpos: int
     table: Dict[tuple, Tuple[int, ...]]
     var_positions: Tuple[int, ...]
     mode_driven: bool
-
-
-def mode_guard(clauses: Sequence[CompiledClause],
-               positions: Sequence[int], min_arg: int,
-               bound_positions: Sequence[int]
-               ) -> Optional[GuardPlan]:
-    """Plan a guard on an argument the whole-program analysis proved
-    ground at every call site, where the local :func:`chain_guard`
-    could not (duplicate constants, or variable-headed clauses mixed
-    in).  Profitable only when at least two distinct keys exist and
-    every dispatch target is a strict sub-chain."""
-    chain = [clauses[p] for p in positions]
-    if len(chain) < 2:
-        return None
-    arity = chain[0].arity
-    if any(c.arg_keys is None or len(c.arg_keys) != arity for c in chain):
-        return None
-    for k in sorted(bound_positions):
-        if k < min_arg or k >= arity:
-            continue
-        var_positions: List[int] = []
-        by_key: Dict[tuple, List[int]] = {}
-        ok = True
-        for pos in positions:
-            kind, key = clauses[pos].arg_keys[k]
-            if kind == "var":
-                var_positions.append(pos)
-            elif kind in ("constant", "nil") and key is not None:
-                by_key.setdefault(key, []).append(pos)
-            else:
-                ok = False  # list/structure key: lmiss would be wrong
-                break
-        if not ok or len(by_key) < 2:
-            continue
-        table = {
-            key: tuple(sorted(matches + var_positions))
-            for key, matches in by_key.items()
-        }
-        if max(len(t) for t in table.values()) >= len(positions):
-            continue  # no dispatch target is any shorter than the chain
-        return GuardPlan(argpos=k, table=table,
-                         var_positions=tuple(var_positions),
-                         mode_driven=True)
-    return None
 
 
 # =====================================================================
@@ -275,7 +204,7 @@ class Optimizer:
         self.rejects = 0
         #: whole-program analysis facts: indicator -> argument positions
         #: proven ground at every analysed call site (profitability map
-        #: for :func:`mode_guard`; installed by the session)
+        #: for :meth:`plan_guard`; installed by the session)
         self.global_bound_args: Dict[Tuple[str, int],
                                      Tuple[int, ...]] = {}
         #: bumped on every install so block caches keyed on it refresh
@@ -321,39 +250,49 @@ class Optimizer:
             self.fusions += fusions
         return replace(clause, code=code)
 
-    def guard_for_chain(self, clauses: Sequence[CompiledClause],
-                        positions: Sequence[int], min_arg: int
-                        ) -> Optional[Tuple[int, Dict[tuple, int]]]:
-        guard = chain_guard(clauses, positions, min_arg)
-        if guard is not None and not self._muted:
-            self.chains_demoted += 1
-        return guard
-
     def plan_guard(self, clauses: Sequence[CompiledClause],
                    positions: Sequence[int], min_arg: int
                    ) -> Optional[GuardPlan]:
-        """The unified guard planner :mod:`repro.wam.indexing` emits
-        from: the local pairwise-distinct-constants proof first, then
-        the interprocedural :func:`mode_guard` when the whole-program
-        analysis marked arguments of this predicate ground at every
-        call site."""
-        guard = self.guard_for_chain(clauses, positions, min_arg)
-        if guard is not None:
-            argpos, table = guard
-            return GuardPlan(
-                argpos=argpos,
-                table={key: (pos,) for key, pos in table.items()},
-                var_positions=(), mode_driven=False)
-        if not self.global_bound_args:
+        """Plan the ``switch_on_arg`` guard :mod:`repro.wam.indexing`
+        emits in front of the chain over *positions*, on some argument
+        ≥ *min_arg*, from :func:`partition_clauses` of that argument.
+
+        First the local proof, lowest argument first: singleton
+        constant groups and no variable clauses — every clause holds a
+        constant there and the constants are pairwise distinct, so a
+        bound value selects at most one clause.  Then, in sorted order,
+        the arguments the whole-program analysis proved ground at every
+        call site of this predicate, where variable clauses and shared
+        keys are allowed.  Either way every group is a constant key, at
+        least two keys exist and every target is a strict sub-chain.
+        """
+        if len(positions) < 2:
             return None
-        bound = self.global_bound_args.get(
-            (clauses[0].head_name, clauses[0].arity))
-        if not bound:
-            return None
-        plan = mode_guard(clauses, positions, min_arg, bound)
-        if plan is not None and not self._muted:
-            self.mode_guards += 1
-        return plan
+        arity = clauses[0].arity
+        bound = self.global_bound_args.get((clauses[0].head_name, arity), ())
+        candidates = [(k, False) for k in range(min_arg, arity)] + [
+            (k, True) for k in sorted(bound) if min_arg <= k < arity]
+        for k, mode_driven in candidates:
+            part = partition_clauses(clauses, k, positions)
+            if (part.list_positions
+                    or any(kind != "constant" for kind, _ in part.groups)):
+                continue  # a bound list/structure must not miss to vars
+            if not mode_driven and (part.var_positions
+                                    or len(part.groups) < len(positions)):
+                continue
+            table = {key: tuple(sorted(group + part.var_positions))
+                     for (_, key), group in part.groups.items()}
+            if len(table) < 2 or max(map(len, table.values())) >= len(positions):
+                continue  # no dispatch target is any shorter than the chain
+            if not self._muted:
+                if mode_driven:
+                    self.mode_guards += 1
+                else:
+                    self.chains_demoted += 1
+            return GuardPlan(argpos=k, table=table,
+                             var_positions=tuple(part.var_positions),
+                             mode_driven=mode_driven)
+        return None
 
     def set_global_modes(self, bound_args: Dict[Tuple[str, int],
                                                 Tuple[int, ...]]) -> None:

@@ -221,3 +221,33 @@ class TestUpdates:
         fetched = store.fetch_clauses("p", 1)
         assert [sc.clause_id for sc in fetched] == [1]
         assert store.get("p", 1).nclauses == 1
+
+    def test_retract_of_missing_clause_is_a_no_op(self, tmp_path):
+        """A missing clause id removes nothing: ``nclauses``, the
+        version and the mutation epoch stay put and no WAL record is
+        written, so recovery replays the same state."""
+        from repro import EduceStar
+        path = str(tmp_path / "kb.edb")
+        kb = EduceStar.create(path)
+        kb.store_program("q(1). q(2).")
+        store = kb.store
+        proc = store.get("q", 1)
+        before = (proc.nclauses, proc.version, store.mutation_epoch,
+                  store.wal_records_appended)
+        for _ in range(3):
+            assert store.retract_clause("q", 1, 99) is False
+        assert (proc.nclauses, proc.version, store.mutation_epoch,
+                store.wal_records_appended) == before
+        assert [s["X"] for s in kb.solve("q(X)")] == [1, 2]
+
+        reopened = EduceStar.open(path)
+        replayed = reopened.store.get("q", 1)
+        assert (replayed.nclauses, replayed.version) == (2, proc.version)
+        assert [s["X"] for s in reopened.solve("q(X)")] == [1, 2]
+
+        # a real retraction is still counted, logged and replayed
+        assert store.retract_clause("q", 1, 0) is True
+        assert (proc.nclauses, proc.version) == (1, before[1] + 1)
+        reopened = EduceStar.open(path)
+        assert reopened.store.get("q", 1).nclauses == 1
+        assert [s["X"] for s in reopened.solve("q(X)")] == [2]

@@ -375,11 +375,19 @@ def _compiled(program_text, name, arity, **kwargs):
     return kb, kb.machine.procedure(name, arity)
 
 
+def _mode_plan(proc, positions, min_arg, bound_positions):
+    """The plan :meth:`Optimizer.plan_guard` makes for *proc* when the
+    whole-program analysis proved *bound_positions* ground."""
+    from repro.wam.optimizer import Optimizer
+    optimizer = Optimizer("full")
+    optimizer.set_global_modes({proc.indicator: tuple(bound_positions)})
+    return optimizer.plan_guard(proc.compiled, positions, min_arg)
+
+
 class TestModeGuardPlanning:
     def test_mode_guard_plans_subchains(self):
-        from repro.wam.optimizer import mode_guard
         kb, proc = _compiled(DISPATCH, "act", 3)
-        plan = mode_guard(proc.compiled, range(len(proc.compiled)), 0,
+        plan = _mode_plan(proc, range(len(proc.compiled)), 0,
                           bound_positions=(0, 1))
         assert plan is not None and plan.mode_driven
         assert plan.argpos == 1
@@ -388,16 +396,22 @@ class TestModeGuardPlanning:
         assert plan.var_positions == ()
 
     def test_mode_guard_needs_two_keys(self):
-        from repro.wam.optimizer import mode_guard
         kb, proc = _compiled("a(X, k) :- t. a(Y, k) :- t. t.", "a", 2)
-        assert mode_guard(proc.compiled, range(2), 0, (1,)) is None
+        assert _mode_plan(proc, range(2), 0, (1,)) is None
 
     def test_mode_guard_refuses_structure_keys(self):
-        from repro.wam.optimizer import mode_guard
         kb, proc = _compiled(
             "a(X, f(1)) :- t. a(X, k1) :- t. a(X, k1). t.", "a", 2)
-        assert mode_guard(proc.compiled,
-                          range(len(proc.compiled)), 0, (1,)) is None
+        assert _mode_plan(proc, range(len(proc.compiled)), 0, (1,)) is None
+
+    def test_mode_guard_keeps_var_clauses_in_every_target(self):
+        kb, proc = _compiled(
+            "a(k1, X) :- t. a(Y, X) :- t. a(k2, X) :- t. a(k1, z). t.",
+            "a", 2)
+        plan = _mode_plan(proc, range(4), 0, (0,))
+        assert plan is not None and plan.argpos == 0
+        assert list(plan.table.values()) == [(0, 1, 3), (1, 2)]
+        assert plan.var_positions == (1,)
 
     def test_plan_guard_uses_global_map(self):
         kb, proc = _compiled(DISPATCH, "act", 3)

@@ -2,7 +2,8 @@
 
 The correctness net behind docs/OPTIMIZER.md:
 
-* unit tests for the two passes (``fuse_code``, ``chain_guard``);
+* unit tests for the two passes (``fuse_code``, and the clause
+  partition behind ``Optimizer.plan_guard``);
 * execution tests for every fused opcode (both unification modes) and
   for ``switch_on_arg`` dispatch (hit / miss / unbound);
 * the corpus differential suite — every ``tests/corpus/*.pl`` program
@@ -27,11 +28,13 @@ from repro import EduceStar, measure, term_to_text
 from repro.errors import VerifyError
 from repro.obs import render_prometheus
 from repro.wam import instructions as I
-from repro.wam.indexing import build_procedure_code, build_procedure_layout
+from repro.wam.compiler import CompiledClause
+from repro.wam.indexing import (build_procedure_code, build_procedure_layout,
+                                partition_clauses)
 from repro.wam.machine import Machine
 from repro.wam.optimizer import (OPT_LEVELS, Optimizer,
-                                 build_optimized_block, chain_guard,
-                                 default_level, fuse_code)
+                                 build_optimized_block, default_level,
+                                 fuse_code)
 
 TESTS_DIR = pathlib.Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -146,70 +149,148 @@ class TestFuseCode:
 
 
 # =====================================================================
-# Pass 2 unit tests — chain_guard
+# Pass 2 unit tests — clause partition and guard planning
 # =====================================================================
 
-class FakeClause:
-    def __init__(self, arity, arg_keys):
-        self.arity = arity
-        self.arg_keys = arg_keys
+def _clause(*arg_keys, head_name="p"):
+    return CompiledClause(code=[], head_name=head_name,
+                          arity=len(arg_keys), arg_keys=arg_keys)
 
 
 def _const(v):
     return ("constant", v)
 
 
+VAR = ("var", None)
+LIST = ("list", None)
+
+
+class TestPartitionClauses:
+    def test_groups_in_first_appearance_order(self):
+        F = ("fun", 9)
+        clauses = [_clause(_const(B)), _clause(VAR), _clause(_const(A)),
+                   _clause(LIST), _clause(("structure", F)),
+                   _clause(_const(B)), _clause(LIST), _clause(VAR)]
+        part = partition_clauses(clauses, 0)
+        assert list(part.groups.items()) == [
+            (("constant", B), [0, 5]), (("constant", A), [2]),
+            (("structure", F), [4])]
+        assert part.var_positions == [1, 7]
+        assert part.list_positions == [3, 6]
+
+    def test_nil_folds_into_constants(self):
+        # the loader's facts path keys [] as a constant, the compiler
+        # as nil: both land in one group, as in the switch table
+        clauses = [_clause(("nil", A)), _clause(_const(A)),
+                   _clause(_const(B))]
+        assert partition_clauses(clauses, 0).groups == {
+            ("constant", A): [0, 1], ("constant", B): [2]}
+
+    def test_positions_and_argpos_select_the_chain(self):
+        clauses = [_clause(_const(A), _const(C)),
+                   _clause(_const(A), VAR),
+                   _clause(_const(B), _const(C))]
+        part = partition_clauses(clauses, 1, [2, 1])
+        assert part.groups == {("constant", C): [2]}
+        assert part.var_positions == [1]
+        assert partition_clauses(clauses, 0, []).groups == {}
+
+    def test_switch_tables_nil_atoms_and_vars(self):
+        """[] and atom keys mixed with a variable-headed clause: the
+        pinned listing of the first-argument switch."""
+        m = Machine(optimize="off")
+        m.consult("p([], a). p(X, b). p(x, c). p([], d). p(y, e). "
+                  "p(x, f).")
+        clauses = m.procedure("p", 2).compiled
+        layout = build_procedure_layout(clauses)
+        code, entries = layout.code, layout.entries
+        nil, x, y = (("atom", m.dictionary.lookup(name, 0))
+                     for name in ("[]", "x", "y"))
+        # lists, structures and unknown constants reach clause 1 alone
+        assert entries[1] == 15
+        assert code[0] == (I.SWITCH_ON_TERM, 10, 1, 15, 15)
+        assert code[1] == (I.SWITCH_ON_CONSTANT, {nil: 2, x: 5, y: 8}, 15)
+        assert list(code[1][1]) == [nil, x, y]
+
+        def chain(offset):
+            targets = []
+            while True:
+                op, target = code[offset]
+                targets.append(entries.index(target))
+                if op == I.TRUST:
+                    return targets
+                offset += 1
+
+        assert [chain(t) for t in code[1][1].values()] == [
+            [0, 1, 3], [1, 2, 5], [1, 4]]
+
+
 class TestChainGuard:
+    """The local pairwise-distinct-constants proof of
+    :meth:`Optimizer.plan_guard`, as ``(argpos, {key: position})``."""
+
+    @staticmethod
+    def guard(clauses, positions, min_arg):
+        plan = Optimizer("full").plan_guard(clauses, positions, min_arg)
+        if plan is None:
+            return None
+        assert plan.var_positions == () and not plan.mode_driven
+        return plan.argpos, {key: pos for key, (pos,) in plan.table.items()}
+
     def test_distinct_constants_guard(self):
-        clauses = [FakeClause(1, (_const(A),)), FakeClause(1, (_const(B),))]
-        guard = chain_guard(clauses, [0, 1], min_arg=0)
-        assert guard == (0, {A: 0, B: 1})
+        clauses = [_clause(_const(A)), _clause(_const(B))]
+        assert self.guard(clauses, [0, 1], min_arg=0) == (0, {A: 0, B: 1})
 
     def test_duplicate_constants_rejected(self):
-        clauses = [FakeClause(1, (_const(A),)), FakeClause(1, (_const(A),))]
-        assert chain_guard(clauses, [0, 1], min_arg=0) is None
+        clauses = [_clause(_const(A)), _clause(_const(A))]
+        assert self.guard(clauses, [0, 1], min_arg=0) is None
 
     def test_later_position_used_when_first_dup(self):
-        clauses = [FakeClause(2, (_const(A), _const(B))),
-                   FakeClause(2, (_const(A), _const(C)))]
-        guard = chain_guard(clauses, [0, 1], min_arg=0)
-        assert guard == (1, {B: 0, C: 1})
+        clauses = [_clause(_const(A), _const(B)),
+                   _clause(_const(A), _const(C))]
+        assert self.guard(clauses, [0, 1], min_arg=0) == (1, {B: 0, C: 1})
 
     def test_min_arg_skips_first_position(self):
-        clauses = [FakeClause(2, (_const(A), _const(B))),
-                   FakeClause(2, (_const(C), _const(B)))]
-        assert chain_guard(clauses, [0, 1], min_arg=1) is None
-        assert chain_guard(clauses, [0, 1], min_arg=0) == (0, {A: 0, C: 1})
+        clauses = [_clause(_const(A), _const(B)),
+                   _clause(_const(C), _const(B))]
+        assert self.guard(clauses, [0, 1], min_arg=1) is None
+        assert self.guard(clauses, [0, 1], min_arg=0) == (0, {A: 0, C: 1})
 
     def test_var_argument_blocks_position(self):
-        clauses = [FakeClause(1, (("var", None),)),
-                   FakeClause(1, (_const(B),))]
-        assert chain_guard(clauses, [0, 1], min_arg=0) is None
+        clauses = [_clause(VAR), _clause(_const(B))]
+        assert self.guard(clauses, [0, 1], min_arg=0) is None
 
     def test_structure_argument_blocks_position(self):
-        clauses = [FakeClause(1, (("structure", ("fun", 4)),)),
-                   FakeClause(1, (_const(B),))]
-        assert chain_guard(clauses, [0, 1], min_arg=0) is None
+        clauses = [_clause(("structure", ("fun", 4))), _clause(_const(B))]
+        assert self.guard(clauses, [0, 1], min_arg=0) is None
 
     def test_nil_counts_as_constant(self):
-        clauses = [FakeClause(1, (("nil", A),)), FakeClause(1, (_const(B),))]
-        assert chain_guard(clauses, [0, 1], min_arg=0) == (0, {A: 0, B: 1})
+        clauses = [_clause(("nil", A)), _clause(_const(B))]
+        assert self.guard(clauses, [0, 1], min_arg=0) == (0, {A: 0, B: 1})
 
     def test_missing_metadata_rejected(self):
-        clauses = [FakeClause(1, None), FakeClause(1, (_const(B),))]
-        assert chain_guard(clauses, [0, 1], min_arg=0) is None
+        # per-argument keys are required: no clause can lack them
+        with pytest.raises(TypeError):
+            CompiledClause(code=[], head_name="p", arity=1)
 
     def test_single_clause_chain_rejected(self):
-        assert chain_guard([FakeClause(1, (_const(A),))], [0],
-                           min_arg=0) is None
+        assert self.guard([_clause(_const(A))], [0], min_arg=0) is None
 
     def test_table_maps_to_chain_positions(self):
-        clauses = [FakeClause(1, (_const(A),)),
-                   FakeClause(1, (_const(B),)),
-                   FakeClause(1, (_const(C),))]
+        clauses = [_clause(_const(A)), _clause(_const(B)),
+                   _clause(_const(C))]
         # positions select a sub-chain; the table maps back to them
-        guard = chain_guard(clauses, [2, 0], min_arg=0)
+        guard = self.guard(clauses, [2, 0], min_arg=0)
         assert guard == (0, {C: 2, A: 0})
+        assert list(guard[1]) == [C, A]
+
+    def test_local_proof_counts_a_demotion(self):
+        optimizer = Optimizer("full")
+        clauses = [_clause(_const(A)), _clause(_const(B))]
+        optimizer.plan_guard(clauses, [0, 1], 0)
+        with optimizer.muted():
+            optimizer.plan_guard(clauses, [0, 1], 0)
+        assert optimizer.chains_demoted == 1
 
 
 # =====================================================================
