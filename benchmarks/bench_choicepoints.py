@@ -11,13 +11,13 @@ and on the MVV workload — and show how first-argument indexing and the
 deterministic EDB collect-at-once erase it.
 
 Script mode adds the optimizer axis (E14 in EXPERIMENTS.md): the same
-workloads run under ``optimize="off" | "peephole" | "full"`` and the
+workloads run under ``optimize="off" | "full"`` and the
 report shows the choice-point-creation and cp-reference deltas — the
 ``switch_on_arg`` chain demotion is the pass that moves them.  Answers
 are differentially checked across levels.
 
 Run:  PYTHONPATH=src python benchmarks/bench_choicepoints.py
-      [--optimize all|off|peephole|full] [--items 50]
+      [--optimize all|off|full] [--items 50]
       [--exposition PATH] [--smoke]
 
 ``--smoke`` is the CI entry point: non-zero exit when any level's

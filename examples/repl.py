@@ -60,8 +60,7 @@ A minimal shell over an :class:`~repro.EduceStar` session:
                   bindings to the optimizer (mode-driven dispatch),
                   ``:modes clear`` reverts
   ``:optimize [L]``  show or set the code-optimization level —
-                  ``off``, ``peephole`` (superinstruction fusion) or
-                  ``full`` (fusion + determinism-driven dispatch);
+                  ``off`` or ``full`` (determinism-driven dispatch);
                   with no argument prints the level and the
                   ``wam_opt_*`` counters (docs/OPTIMIZER.md)
   ``:lint [F]``   lint a Prolog file — or, with no argument, the
@@ -278,7 +277,7 @@ def command(session, line: str, interactive: bool):
     elif cmd == ":optimize":
         from repro.wam.optimizer import OPT_LEVELS
         if arg and arg not in OPT_LEVELS:
-            print("usage: :optimize [off|peephole|full]")
+            print("usage: :optimize [off|full]")
         elif arg:
             session.set_optimize(arg)
             print(f"optimize {arg}")

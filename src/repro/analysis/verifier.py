@@ -181,15 +181,10 @@ _SHAPES: Dict[str, Tuple[Tuple[object, str], ...]] = {
     I.NOOP: (),
     I.HALT_SUCCESS: (),
     I.LABEL: ((_is_name, "label name"),),
-    I.GET_LIST_VV: ((_is_xreg, "argument register"),
-                    (_is_reg, "register"), (_is_reg, "register")),
 }
 
 _SWITCH_OPS = (I.SWITCH_ON_TERM, I.SWITCH_ON_CONSTANT,
                I.SWITCH_ON_STRUCTURE)
-
-#: fused superinstructions with nested operand lists (bespoke checks)
-_FUSED_SEQ_OPS = (I.GET_CONSTANTS, I.UNIFY_CONSTANTS, I.PUT_ARGS)
 
 
 def _switch_key_ok(op: str, key) -> bool:
@@ -233,9 +228,6 @@ def _structural(code: List[tuple], dictionary,
             continue
         if op == I.SWITCH_ON_ARG:
             _check_switch_on_arg(code, i, instr, dictionary, bad)
-            continue
-        if op in _FUSED_SEQ_OPS:
-            _check_fused(i, instr, dictionary, bad)
             continue
         shape = _SHAPES.get(op)
         if shape is None:
@@ -387,48 +379,6 @@ def _check_switch_on_arg(code: List[tuple], i: int, instr: tuple,
         _target_ok(code, i, target, bad)
     _target_ok(code, i, lvar, bad)
     _target_ok(code, i, lmiss, bad)
-
-
-def _check_fused(i: int, instr: tuple, dictionary, bad) -> None:
-    """Operand shapes for the fused superinstructions, whose single
-    operand is a tuple of component items (docs/OPTIMIZER.md)."""
-    op = instr[0]
-    if len(instr) != 2 or not isinstance(instr[1], tuple):
-        bad("V101", i, f"{op} takes one tuple operand")
-        return
-    items = instr[1]
-    if len(items) < 2:
-        bad("V101", i, f"{op}: fused run of {len(items)} item(s), "
-            "expected at least 2")
-        return
-
-    def const_ok(const) -> None:
-        if not _is_const(const):
-            bad("V101", i, f"{op}: malformed constant {const!r}")
-        elif (dictionary is not None and const[0] == "atom"
-                and not dictionary.is_live(const[1])):
-            bad("V103", i, f"{op}: dead atom id {const[1]}")
-
-    for item in items:
-        if op == I.GET_CONSTANTS:
-            if not (isinstance(item, tuple) and len(item) == 2
-                    and _is_xreg(item[1])):
-                bad("V101", i, f"{op}: malformed item {item!r}")
-                continue
-            const_ok(item[0])
-        elif op == I.UNIFY_CONSTANTS:
-            const_ok(item)
-        else:  # PUT_ARGS
-            if not (isinstance(item, tuple) and len(item) == 3
-                    and item[0] in ("v", "c") and _is_xreg(item[2])):
-                bad("V101", i, f"{op}: malformed item {item!r}")
-                continue
-            if item[0] == "v":
-                if not _is_reg(item[1]):
-                    bad("V101", i, f"{op}: malformed source register "
-                        f"{item[1]!r}")
-            else:
-                const_ok(item[1])
 
 
 # =====================================================================
@@ -667,25 +617,6 @@ class _AbstractPass:
             for target in instr[1].values():
                 out.append((target, s))
             out.append((instr[2], s))
-        elif op == I.GET_CONSTANTS:
-            for _, ai in instr[1]:
-                self._read_reg(ai, state, i, op)
-            fall(_State(xs, nperm, ys, mode))
-        elif op == I.UNIFY_CONSTANTS:
-            self._need_mode(state, i, op)
-            fall(_State(xs, nperm, ys, state.mode))
-        elif op == I.GET_LIST_VV:
-            self._read_reg(instr[1], state, i, op)
-            s = self._write_reg(instr[2], _State(xs, nperm, ys, True),
-                                i, op)
-            fall(self._write_reg(instr[3], s, i, op))
-        elif op == I.PUT_ARGS:
-            s = _State(xs, nperm, ys, mode)
-            for item in instr[1]:
-                if item[0] == "v":
-                    self._read_reg(item[1], s, i, op)
-                s = self._write_reg(item[2], s, i, op)
-            fall(s)
         elif op == I.SWITCH_ON_ARG:
             if instr[1] not in xs:
                 self.emit("A201", i, f"switch_on_arg reads "
@@ -719,18 +650,6 @@ class _AbstractPass:
                                I.TRY_ME_ELSE, I.RETRY_ME_ELSE,
                                I.SWITCH_ON_ARG} | \
             set(_SWITCH_OPS)
-
-        def yslots(operand, into: Set[int]) -> None:
-            # Recurse into nested operand tuples: the fused
-            # superinstructions carry registers inside item lists.
-            if not isinstance(operand, tuple):
-                return
-            if (len(operand) == 2 and operand[0] == "y"
-                    and isinstance(operand[1], int)):
-                into.add(operand[1])
-                return
-            for element in operand:
-                yslots(element, into)
         for i, instr in enumerate(code):
             if instr[0] == I.ALLOCATE and i in self.reached:
                 nperm = instr[1]
@@ -750,8 +669,8 @@ class _AbstractPass:
                         unsafe_at = []
                     if op == I.PUT_UNSAFE_VALUE:
                         unsafe_at.append(j)
-                    for operand in code[j][1:]:
-                        yslots(operand, used)
+                    used.update(operand[1] for operand in code[j][1:]
+                                if _is_yreg(operand))
                 dead = sorted(set(range(nperm)) - used)
                 if dead:
                     self.emit("A205", i,

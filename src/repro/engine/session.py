@@ -261,10 +261,10 @@ class EduceStar:
         The plan tree names the strategy the planner would pick and why
         (with its cost inputs), the magic-set adornment and evaluable
         strata/rules for a bottom-up goal, or the procedure's compiled
-        code shape (fusions, ``switch_on_arg`` guards, choice
-        instructions) for a top-down one, plus the session's optimizer
-        state.  Nothing is evaluated and no EDB pages move beyond the
-        planner's own row-count lookups.
+        code shape (``switch_on_arg`` guards, choice instructions) for
+        a top-down one, plus the session's optimizer state.  Nothing is
+        evaluated and no EDB pages move beyond the planner's own
+        row-count lookups.
         """
         from ..obs.explain import ExplainPlan, PlanNode
         self.explain_queries += 1

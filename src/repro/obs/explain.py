@@ -11,8 +11,8 @@ for per-query plans:
   in ANALYZE mode, measured ones (``actual``: counter deltas, per-pass
   fixpoint delta row counts, answers, wall time);
 * :func:`code_shape` — the optimizer-visible shape of one compiled
-  block (instruction count, fused superinstructions, ``switch_on_arg``
-  guards, choice instructions);
+  block (instruction count, ``switch_on_arg`` guards, choice
+  instructions);
 * :func:`attach_fixpoint` — folds a semi-naive evaluation's
   :class:`~repro.relational.datalog.seminaive.PassStats` records into
   the matching ``stratum``/``rule`` nodes of a plan.
@@ -29,12 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["PlanNode", "ExplainPlan", "code_shape", "attach_fixpoint",
-           "FUSED_OPS"]
-
-#: superinstructions the peephole pass can emit (docs/OPTIMIZER.md)
-FUSED_OPS = ("get_constants", "unify_constants", "get_list_vv",
-             "put_args")
+__all__ = ["PlanNode", "ExplainPlan", "code_shape", "attach_fixpoint"]
 
 #: choice instructions counted as the block's nondeterminism shape
 _CHOICE_OPS = ("try_me_else", "retry_me_else", "trust_me",
@@ -174,16 +169,11 @@ def code_shape(code: List[tuple]) -> Dict[str, Any]:
     for instr in code:
         op = instr[0]
         counts[op] = counts.get(op, 0) + 1
-    fused = {op: counts[op] for op in FUSED_OPS if op in counts}
-    shape = {
+    return {
         "instructions": len(code),
-        "fused": sum(fused.values()),
         "switch_on_arg": counts.get("switch_on_arg", 0),
         "choice_instrs": sum(counts.get(op, 0) for op in _CHOICE_OPS),
     }
-    if fused:
-        shape["fused_ops"] = fused
-    return shape
 
 
 def attach_fixpoint(plan: ExplainPlan, passes: List[Any],

@@ -107,17 +107,13 @@ def build_procedure_layout(
     """As :func:`build_procedure_code`, keeping the layout map.
 
     With an enabled *optimizer* (:class:`repro.wam.optimizer.Optimizer`)
-    each clause's code is peephole-fused and provably deterministic
-    chains are demoted behind ``switch_on_arg`` guards.  Callers wanting
-    the verified fall-back behaviour should go through
-    :func:`repro.wam.optimizer.build_optimized_block` instead of passing
-    the optimizer here directly.
+    provably deterministic chains are demoted behind ``switch_on_arg``
+    guards.  Callers wanting the verified fall-back behaviour should go
+    through :func:`repro.wam.optimizer.build_optimized_block` instead of
+    passing the optimizer here directly.
     """
     if not clauses:
         return ProcedureLayout(code=assemble([(I.FAIL_OP,)]))
-
-    if optimizer is not None and optimizer.fuse_enabled:
-        clauses = [optimizer.fuse_compiled(c) for c in clauses]
 
     if len(clauses) == 1:
         return ProcedureLayout(code=assemble(list(clauses[0].code)),
@@ -132,7 +128,8 @@ def build_procedure_layout(
         and any(c.first_arg_kind != "var" for c in clauses)
     )
 
-    demote = optimizer is not None and optimizer.dispatch_enabled
+    if optimizer is not None and not optimizer.enabled:
+        optimizer = None
 
     #: sub-chains referenced by generalized guards, emitted after the
     #: clause bodies (just before ``$fail``) so the main layout stays
@@ -140,14 +137,13 @@ def build_procedure_layout(
     pending: List[Tuple[str, List[int]]] = []
 
     if use_switch:
-        _emit_switch(out, clauses, entry_labels,
-                     optimizer if demote else None, pending)
+        _emit_switch(out, clauses, entry_labels, optimizer, pending)
 
     # The variable-entry chain: try_me_else over all clauses, with clause
     # code inline.  Clause entry labels point past the choice instruction
     # so indexed jumps skip choice-point creation.
     out.append((I.LABEL, "$var_entry"))
-    if demote:
+    if optimizer is not None:
         # Guard the full chain too: with the switch in front, X0 here is
         # known unbound, so only positions >= 1 can decide; without a
         # switch (index=False procedures) any position qualifies.

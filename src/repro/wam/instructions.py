@@ -79,14 +79,6 @@ NOOP = "noop"                          # ()
 HALT_SUCCESS = "halt_success"          # () sentinel: top-level goal solved
 LABEL = "label"                        # (name,) pseudo-instruction, assembled away
 
-# --- fused superinstructions (repro.wam.optimizer, docs/OPTIMIZER.md) --------
-# Emitted only by the peephole pass; each executes the exact semantics of
-# the run of plain instructions it replaces, in order, under one dispatch.
-GET_CONSTANTS = "get_constants"        # (((const, ai), ...),)
-UNIFY_CONSTANTS = "unify_constants"    # ((const, ...),)
-GET_LIST_VV = "get_list_vv"            # (ai, reg, reg): get_list + 2 unify_variable
-PUT_ARGS = "put_args"                  # ((('v', src, ai) | ('c', const, ai), ...),)
-
 # --- determinism-driven dispatch (repro.wam.optimizer) -----------------------
 # Guard in front of a try/retry/trust chain whose clauses all hold
 # pairwise-distinct constants at argument *argpos*: a bound constant
@@ -109,9 +101,6 @@ def _format_operand(x: object) -> str:
         return f"{x[0].upper()}{x[1]}"
     if isinstance(x, tuple) and len(x) == 2 and x[0] in ("atom", "int", "flt"):
         return f"{x[0]}:{x[1]}"
-    if isinstance(x, tuple):
-        # fused-instruction operand lists nest registers and constants
-        return "[" + ", ".join(_format_operand(e) for e in x) + "]"
     if isinstance(x, dict):
         inner = ", ".join(f"{_format_operand(k)}->{v}"
                           if isinstance(k, tuple) else f"{k}->{v}"

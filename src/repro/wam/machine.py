@@ -62,9 +62,6 @@ from .optimizer import Optimizer, build_optimized_block
 
 # Rough data-reference cost (register/heap/stack accesses) per opcode,
 # excluding the choice-point traffic which is counted separately.
-# Fused superinstructions carry 0 here; their handlers add the same
-# per-component costs as the runs they replace, so ``data_refs`` stays
-# comparable across optimization levels while ``instr_count`` drops.
 _DATA_COST = {
     I.GET_VARIABLE: 2, I.GET_VALUE: 3, I.GET_CONSTANT: 2, I.GET_NIL: 2,
     I.GET_STRUCTURE: 3, I.GET_LIST: 3,
@@ -78,9 +75,11 @@ _DATA_COST = {
     I.ESCAPE: 2, I.FAIL_OP: 0, I.NOOP: 0, I.HALT_SUCCESS: 0,
     I.TRY_ME_ELSE: 0, I.RETRY_ME_ELSE: 0, I.TRUST_ME: 0,
     I.TRY: 0, I.RETRY: 0, I.TRUST: 0,
-    I.GET_CONSTANTS: 0, I.UNIFY_CONSTANTS: 0, I.GET_LIST_VV: 0,
-    I.PUT_ARGS: 0, I.SWITCH_ON_ARG: 1,
+    I.SWITCH_ON_ARG: 1,
 }
+
+#: marks a compound-build step on :meth:`Machine._extract`'s work stack
+_BUILD = object()
 
 _CP_FIXED_FIELDS = 7  # prev, e, cp, tr, h, b0, next — per create/restore
 
@@ -774,66 +773,58 @@ class Machine:
         heap.extend(arg_cells)
         return ("STR", a)
 
-    def _extract(self, cell, memo: dict, _visiting: Optional[set] = None
-                 ) -> Term:
+    def _extract(self, cell, memo: dict) -> Term:
         """Heap cell → surface term; unbound cells become fresh Vars.
 
-        Cyclic terms (possible because WAM unification omits the occurs
-        check) are cut at the back edge with a fresh variable, so
-        extraction always terminates; use ``acyclic_term/1`` to detect
-        them explicitly.
+        Iterative over an explicit stack, so neither long lists nor
+        deeply nested compounds can exhaust the Python stack.  Cyclic
+        terms (possible because WAM unification omits the occurs check)
+        are cut at the back edge with a fresh variable, so extraction
+        always terminates; use ``acyclic_term/1`` to detect them
+        explicitly.
         """
-        if _visiting is None:
-            _visiting = set()
-        cell = self.deref_cell(cell)
-        tag = cell[0]
-        if tag == "REF":
-            addr = cell[1]
-            var = memo.get(addr)
-            if var is None:
-                var = Var()
-                memo[addr] = var
-            return var
-        if tag == "CON":
-            return Atom(self.dictionary.name(cell[1]))
-        if tag == "INT" or tag == "FLT":
-            return cell[1]
-        if tag == "LIS":
-            # Iterative over the spine: lists can be arbitrarily long.
-            heads: List[Term] = []
-            spine: List[int] = []
-            while tag == "LIS":
+        heap = self.heap
+        dictionary = self.dictionary
+        on_path: set = set()   # compound addresses being built
+        done: List[Term] = []  # finished subterms, in argument order
+        todo: list = [cell]    # cells to extract and build markers
+        while todo:
+            item = todo.pop()
+            if item[0] is _BUILD:
+                _, a, name, arity = item
+                on_path.discard(a)
+                first = len(done) - arity
+                args = tuple(done[first:])
+                del done[first:]
+                done.append(Struct(name, args))
+                continue
+            cell = self.deref_cell(item)
+            tag = cell[0]
+            if tag == "REF":
+                var = memo.get(cell[1])
+                if var is None:
+                    var = memo[cell[1]] = Var()
+                done.append(var)
+            elif tag == "CON":
+                done.append(Atom(dictionary.name(cell[1])))
+            elif tag == "INT" or tag == "FLT":
+                done.append(cell[1])
+            elif tag == "LIS" or tag == "STR":
                 a = cell[1]
-                if a in _visiting:
-                    break  # cyclic spine: cut with a fresh var
-                _visiting.add(a)
-                spine.append(a)
-                heads.append(self._extract(self.heap[a], memo, _visiting))
-                cell = self.deref_cell(self.heap[a + 1])
-                tag = cell[0]
-            if tag == "LIS":  # loop broken by the cycle guard
-                result: Term = Var()
+                if a in on_path:
+                    done.append(Var())  # back edge: cut the cycle
+                    continue
+                on_path.add(a)
+                if tag == "LIS":
+                    name, arity, base = ".", 2, a
+                else:
+                    name, arity = dictionary.functor(heap[a][1])
+                    base = a + 1
+                todo.append((_BUILD, a, name, arity))
+                todo.extend(heap[base + k] for k in range(arity - 1, -1, -1))
             else:
-                result = self._extract(cell, memo, _visiting)
-            for a in spine:
-                _visiting.discard(a)
-            for head in reversed(heads):
-                result = Struct(".", (head, result))
-            return result
-        if tag == "STR":
-            a = cell[1]
-            if a in _visiting:
-                return Var()  # back edge: cut the cycle
-            _visiting.add(a)
-            fid = self.heap[a][1]
-            name, arity = self.dictionary.functor(fid)
-            args = tuple(
-                self._extract(self.heap[a + k], memo, _visiting)
-                for k in range(1, arity + 1)
-            )
-            _visiting.discard(a)
-            return Struct(name, args)
-        raise MachineError(f"cannot extract cell {cell!r}")
+                raise MachineError(f"cannot extract cell {cell!r}")
+        return done[0]
 
     def extract(self, cell) -> Term:
         return self._extract(cell, {})
@@ -882,10 +873,6 @@ class Machine:
             I.FAIL_OP: self._i_fail,
             I.NOOP: self._i_noop,
             I.HALT_SUCCESS: self._i_halt,
-            I.GET_CONSTANTS: self._i_get_constants,
-            I.UNIFY_CONSTANTS: self._i_unify_constants,
-            I.GET_LIST_VV: self._i_get_list_vv,
-            I.PUT_ARGS: self._i_put_args,
             I.SWITCH_ON_ARG: self._i_switch_on_arg,
         }
 
@@ -1045,72 +1032,6 @@ class Machine:
         else:
             for _ in range(n):
                 self.new_var()
-
-    # --- fused superinstructions (repro.wam.optimizer) ---------------------
-    # Each executes the exact semantics of the plain-instruction run it
-    # replaces, in source order, and adds the same per-component data
-    # costs; only the dispatch overhead (instr_count) is saved.
-
-    def _i_get_constants(self, instr):
-        for const, ai in instr[1]:
-            self.data_refs += 2
-            cell = self.deref_cell(self.x[ai[1]])
-            if cell[0] == "REF":
-                self.bind(cell[1], self._const_cell(const))
-                continue
-            want = self._const_cell(const)
-            if cell[0] != want[0] or cell[1] != want[1]:
-                return "fail"
-
-    def _i_unify_constants(self, instr):
-        # Mode cannot change across a run of unify_constant, so the
-        # check is hoisted out of the loop.
-        if self.mode == "read":
-            for const in instr[1]:
-                self.data_refs += 2
-                want = self._const_cell(const)
-                cell = self.deref_cell(self.heap[self.s])
-                self.s += 1
-                if cell[0] == "REF":
-                    self.bind(cell[1], want)
-                    continue
-                if cell[0] != want[0] or cell[1] != want[1]:
-                    return "fail"
-        else:
-            for const in instr[1]:
-                self.data_refs += 2
-                self.heap.append(self._const_cell(const))
-
-    def _i_get_list_vv(self, instr):
-        self.data_refs += 3  # the get_list component always runs
-        cell = self.deref_cell(self.x[instr[1][1]])
-        if cell[0] == "REF":
-            self.data_refs += 4  # 2 x unify_variable
-            self.bind(cell[1], ("LIS", len(self.heap)))
-            self._reg_write(instr[2], self.new_var())
-            self._reg_write(instr[3], self.new_var())
-            self.mode = "write"
-            return None
-        if cell[0] == "LIS":
-            self.data_refs += 4  # 2 x unify_variable
-            s = cell[1]
-            self._reg_write(instr[2], self.heap[s])
-            self._reg_write(instr[3], self.heap[s + 1])
-            self.s = s + 2
-            self.mode = "read"
-            return None
-        # an unfused run would stop at the failing get_list: the two
-        # unify_variable components never execute, so they cost nothing
-        return "fail"
-
-    def _i_put_args(self, instr):
-        for item in instr[1]:
-            if item[0] == "v":
-                self.data_refs += 2
-                self._reg_write(item[2], self._reg_read(item[1]))
-            else:
-                self.data_refs += 1
-                self._reg_write(item[2], self._const_cell(item[1]))
 
     # --- control -----------------------------------------------------------
 

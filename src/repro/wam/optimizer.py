@@ -1,39 +1,26 @@
-"""WAM code optimizer: peephole fusion + determinism-driven dispatch.
+"""WAM code optimizer: determinism-driven dispatch.
 
-Two passes over procedure code, both proven safe before their output is
-ever executed (docs/OPTIMIZER.md):
-
-* **Peephole / superinstruction fusion** (level ``"peephole"`` and up)
-  rewrites runs of adjacent instructions inside one clause's code into
-  fused instructions executed natively by :mod:`repro.wam.machine`
-  under a single dispatch — ``get_constants``, ``unify_constants``,
-  ``get_list_vv`` and ``put_args``.  Each fused handler executes the
-  exact semantics of the run it replaces, in order, so fusion is
-  observationally equivalent by construction; what changes is the
-  interpretation overhead (``instr_count``), the cost the paper's
-  compiled-vs-interpreted argument hinges on (§2.1, §3.2.1).
-
-* **Determinism-driven dispatch** (level ``"full"``) groups a chain's
-  clauses with :func:`repro.wam.indexing.partition_clauses`, the
-  routine behind the switch tables and :mod:`repro.analysis.determinism`:
-  when every clause of a try/retry/trust chain holds a pairwise-distinct
-  constant at some argument position, at most one clause can match any
-  bound value, so the chain is demoted behind a ``switch_on_arg`` guard
-  — a bound call dispatches straight to its clause entry with **no
-  choice point**, extending the paper's first-argument determinism
-  transformation (§3.2.2) to every argument position and to unindexed
-  chains.
+At level ``"full"`` the optimizer groups a chain's clauses with
+:func:`repro.wam.indexing.partition_clauses`, the routine behind the
+switch tables and :mod:`repro.analysis.determinism`: when every clause
+of a try/retry/trust chain holds a pairwise-distinct constant at some
+argument position, at most one clause can match any bound value, so the
+chain is demoted behind a ``switch_on_arg`` guard — a bound call
+dispatches straight to its clause entry with **no choice point**,
+extending the paper's first-argument determinism transformation
+(§3.2.2) to every argument position and to unindexed chains
+(docs/OPTIMIZER.md).
 
 Safety gate
 -----------
 Every optimized block must pass ``verify="full"`` (structural V rules +
-the abstract interpreter, both extended with the fused opcodes) plus the
-D301/D302 determinism analysis before it replaces the naive block.  Any
-finding — or an armed forced reject, the FaultInjector-style test hook —
-falls back to the unoptimized block and bumps ``wam_opt_rejects``;
-unverified optimized code is never executed.
+the abstract interpreter) plus the D301/D302 determinism analysis before
+it replaces the naive block.  Any finding — or an armed forced reject,
+the FaultInjector-style test hook — falls back to the unoptimized block
+and bumps ``wam_opt_rejects``; unverified optimized code is never
+executed.
 
-The ``optimize="off"|"peephole"|"full"`` knob threads through
+The ``optimize="off"|"full"`` knob threads through
 :class:`~repro.wam.machine.Machine`, the EDB dynamic loader, the session
 config and the REPL's ``:optimize`` command.  The suite-wide default is
 set with :func:`set_default_level`.
@@ -42,21 +29,20 @@ set with :func:`set_default_level`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import VerifyError
-from . import instructions as I
 from .compiler import CompiledClause
 from .indexing import (build_procedure_code, build_procedure_layout,
                        partition_clauses)
 
 __all__ = ["OPT_LEVELS", "GuardPlan", "Optimizer",
-           "build_optimized_block", "default_level", "fuse_code",
+           "build_optimized_block", "default_level",
            "set_default_level"]
 
 #: accepted optimization levels (docs/OPTIMIZER.md)
-OPT_LEVELS = ("off", "peephole", "full")
+OPT_LEVELS = ("off", "full")
 
 #: process-wide default level for machines/sessions constructed with
 #: ``optimize=None``; the test suite flips it to "full" in conftest.py
@@ -74,74 +60,6 @@ def set_default_level(level: str) -> None:
 
 def default_level() -> str:
     return _DEFAULT_LEVEL
-
-
-# =====================================================================
-# Peephole / superinstruction fusion
-# =====================================================================
-
-_MIN_RUN = 2
-_PUT_RUN_OPS = (I.PUT_VALUE, I.PUT_CONSTANT)
-
-
-def fuse_code(code: Sequence[tuple]) -> Tuple[List[tuple], int]:
-    """One peephole pass over a clause's (label-free, linear) code.
-
-    Returns ``(fused_code, fusions)`` where *fusions* counts the fused
-    instructions emitted.  The fusion table lives in docs/OPTIMIZER.md;
-    every rule replaces an adjacent run with one fused instruction whose
-    handler executes the component semantics in source order.
-    """
-    out: List[tuple] = []
-    fusions = 0
-    i, n = 0, len(code)
-    while i < n:
-        instr = code[i]
-        op = instr[0]
-        if op == I.GET_CONSTANT:
-            j = i
-            while j < n and code[j][0] == I.GET_CONSTANT:
-                j += 1
-            if j - i >= _MIN_RUN:
-                out.append((I.GET_CONSTANTS, tuple(
-                    (code[k][1], code[k][2]) for k in range(i, j))))
-                fusions += 1
-                i = j
-                continue
-        elif op == I.UNIFY_CONSTANT:
-            j = i
-            while j < n and code[j][0] == I.UNIFY_CONSTANT:
-                j += 1
-            if j - i >= _MIN_RUN:
-                out.append((I.UNIFY_CONSTANTS,
-                            tuple(code[k][1] for k in range(i, j))))
-                fusions += 1
-                i = j
-                continue
-        elif (op == I.GET_LIST and i + 2 < n
-              and code[i + 1][0] == I.UNIFY_VARIABLE
-              and code[i + 2][0] == I.UNIFY_VARIABLE):
-            out.append((I.GET_LIST_VV, instr[1],
-                        code[i + 1][1], code[i + 2][1]))
-            fusions += 1
-            i += 3
-            continue
-        elif op in _PUT_RUN_OPS:
-            j = i
-            while j < n and code[j][0] in _PUT_RUN_OPS:
-                j += 1
-            if j - i >= _MIN_RUN:
-                out.append((I.PUT_ARGS, tuple(
-                    ("v", code[k][1], code[k][2])
-                    if code[k][0] == I.PUT_VALUE
-                    else ("c", code[k][1], code[k][2])
-                    for k in range(i, j))))
-                fusions += 1
-                i = j
-                continue
-        out.append(instr)
-        i += 1
-    return out, fusions
 
 
 # =====================================================================
@@ -194,8 +112,6 @@ class Optimizer:
         self.level = resolved
         #: blocks built through the optimizing path (level != off)
         self.blocks = 0
-        #: fused superinstructions emitted by the peephole pass
-        self.fusions = 0
         #: try/retry/trust chains demoted behind a switch_on_arg guard
         self.chains_demoted = 0
         #: guards emitted only thanks to interprocedural mode facts
@@ -221,14 +137,6 @@ class Optimizer:
     # ------------------------------------------------------------ level
 
     @property
-    def fuse_enabled(self) -> bool:
-        return self.level in ("peephole", "full")
-
-    @property
-    def dispatch_enabled(self) -> bool:
-        return self.level == "full"
-
-    @property
     def enabled(self) -> bool:
         return self.level != "off"
 
@@ -238,17 +146,7 @@ class Optimizer:
                 f"optimize={level!r}: expected one of {OPT_LEVELS}")
         self.level = level
 
-    # ------------------------------------------------------- pass hooks
-
-    def fuse_compiled(self, clause: CompiledClause) -> CompiledClause:
-        """Peephole-fuse one clause's code; the clause object is never
-        mutated (dynamic procedures keep their per-clause cache)."""
-        code, fusions = fuse_code(clause.code)
-        if not fusions:
-            return clause
-        if not self._muted:
-            self.fusions += fusions
-        return replace(clause, code=code)
+    # ---------------------------------------------------- guard planning
 
     def plan_guard(self, clauses: Sequence[CompiledClause],
                    positions: Sequence[int], min_arg: int
@@ -344,7 +242,6 @@ class Optimizer:
     def counters(self) -> dict:
         return {
             "wam_opt_blocks": self.blocks,
-            "wam_opt_fusions": self.fusions,
             "wam_opt_chains_demoted": self.chains_demoted,
             "wam_opt_mode_guards": self.mode_guards,
             "wam_opt_rejects": self.rejects,
@@ -352,7 +249,6 @@ class Optimizer:
 
     def reset_counters(self) -> None:
         self.blocks = 0
-        self.fusions = 0
         self.chains_demoted = 0
         self.mode_guards = 0
         self.rejects = 0

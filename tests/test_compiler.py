@@ -53,7 +53,7 @@ class TestFactCompilation:
         assert ops(cc)[0] == I.GET_NIL
 
     def test_one_instruction_per_term(self, ctx):
-        # §2.1: p(a, b) compiles to two get_constants (plus control).
+        # §2.1: p(a, b) compiles to two get_constant (plus control).
         cc = compile_clause(read_term("p(a, b)"), ctx)
         consts = [i for i in cc.code if i[0] == I.GET_CONSTANT]
         assert len(consts) == 2

@@ -97,7 +97,7 @@ class TestTopdown:
         node = kb.explain("p(X)").root.find("optimizer")
         assert node is not None
         assert node.label == kb.machine.optimizer.level
-        assert "wam_opt_fusions" in node.attrs
+        assert "wam_opt_blocks" in node.attrs
 
     def test_explain_is_side_effect_free(self):
         """EXPLAIN alone executes nothing — the machine's instruction

@@ -11,7 +11,7 @@ from repro.errors import (
     TypeError_,
 )
 from repro.lang.writer import term_to_text
-from repro.terms import Atom
+from repro.terms import Atom, Struct, Var
 
 
 def answers(machine, goal, var="X"):
@@ -519,6 +519,29 @@ class TestRecursion:
             D1 is D + 1, safe(Q, D1, Ps).
         """)
         assert machine.count_solutions("queens(6, _)") == 4
+
+    def test_deep_compound_answer_extracts(self, machine):
+        # answer extraction must not recurse per argument: a 20000-deep
+        # f/1 chain is far past Python's recursion limit
+        machine.consult("deep(0, z) :- !. "
+                        "deep(N, f(T)) :- N1 is N - 1, deep(N1, T).")
+        term = machine.solve_once("deep(20000, T)")["T"]
+        depth = 0
+        while isinstance(term, Struct):
+            assert term.name == "f" and len(term.args) == 1
+            term, depth = term.args[0], depth + 1
+        assert depth == 20000 and term == Atom("z")
+
+    def test_cyclic_answer_is_cut_at_its_back_edge(self, machine):
+        sol = machine.solve_once("X = f(a, X, [b|L]), L = [c|L]")
+        x = sol["X"]
+        assert x.name == "f" and x.args[0] == Atom("a")
+        assert isinstance(x.args[1], Var)           # X's back edge
+        b_cell = x.args[2]
+        assert b_cell.args[0] == Atom("b")
+        c_cell = b_cell.args[1]
+        assert c_cell.args[0] == Atom("c")
+        assert isinstance(c_cell.args[1], Var)      # L's back edge
 
 
 class TestOutput:

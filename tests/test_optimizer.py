@@ -1,18 +1,18 @@
-"""WAM optimizer: peephole fusion + determinism-driven dispatch.
+"""WAM optimizer: determinism-driven dispatch.
 
 The correctness net behind docs/OPTIMIZER.md:
 
-* unit tests for the two passes (``fuse_code``, and the clause
-  partition behind ``Optimizer.plan_guard``);
-* execution tests for every fused opcode (both unification modes) and
-  for ``switch_on_arg`` dispatch (hit / miss / unbound);
+* unit tests for the clause partition behind ``Optimizer.plan_guard``;
+* execution tests for ``switch_on_arg`` dispatch (hit / miss /
+  unbound);
 * the corpus differential suite — every ``tests/corpus/*.pl`` program
-  and the E1/E7/E8 workloads run under ``optimize="off"``,
-  ``"peephole"`` and ``"full"`` with identical answers, order and
-  errors, plus pinned expected answers for representative goals;
+  and the E1/E7/E8 workloads run under ``optimize="off"`` and
+  ``"full"`` with identical answers, order and errors, plus pinned
+  expected answers for representative goals;
 * golden-file regression listings (before/after disassembly) for a
   dozen representative procedures, regenerated with
-  ``REPRO_REGEN_GOLDEN=1``;
+  ``REPRO_REGEN_GOLDEN=1``; a procedure without a guard lists the
+  same code at both levels;
 * negative paths: the armed-fault reject (F901), verifier and D301
   gate rejections, and the proof that a rejected block falls back to
   exactly the unoptimized code — unverified optimized code never runs.
@@ -33,8 +33,7 @@ from repro.wam.indexing import (build_procedure_code, build_procedure_layout,
                                 partition_clauses)
 from repro.wam.machine import Machine
 from repro.wam.optimizer import (OPT_LEVELS, Optimizer,
-                                 build_optimized_block, default_level,
-                                 fuse_code)
+                                 build_optimized_block, default_level)
 
 TESTS_DIR = pathlib.Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -80,76 +79,7 @@ def open_goal(name, arity):
 
 
 # =====================================================================
-# Pass 1 unit tests — fuse_code
-# =====================================================================
-
-class TestFuseCode:
-    def test_get_constant_run_fuses(self):
-        code = [(I.GET_CONSTANT, A, 0), (I.GET_CONSTANT, B, 1),
-                (I.GET_CONSTANT, C, 2), (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 1
-        assert fused == [(I.GET_CONSTANTS, ((A, 0), (B, 1), (C, 2))),
-                         (I.PROCEED,)]
-
-    def test_single_get_constant_not_fused(self):
-        code = [(I.GET_CONSTANT, A, 0), (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 0 and fused == code
-
-    def test_unify_constant_run_fuses(self):
-        code = [(I.GET_STRUCTURE, 9, 0),
-                (I.UNIFY_CONSTANT, A), (I.UNIFY_CONSTANT, B),
-                (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 1
-        assert fused[1] == (I.UNIFY_CONSTANTS, (A, B))
-
-    def test_get_list_vv_triple_fuses(self):
-        code = [(I.GET_LIST, 0),
-                (I.UNIFY_VARIABLE, ("x", 3)), (I.UNIFY_VARIABLE, ("y", 0)),
-                (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 1
-        assert fused[0] == (I.GET_LIST_VV, 0, ("x", 3), ("y", 0))
-
-    def test_get_list_with_constant_not_fused(self):
-        code = [(I.GET_LIST, 0),
-                (I.UNIFY_CONSTANT, A), (I.UNIFY_VARIABLE, ("x", 3)),
-                (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 0 and fused == code
-
-    def test_put_run_fuses_mixed(self):
-        code = [(I.PUT_VALUE, ("y", 0), 0), (I.PUT_CONSTANT, A, 1),
-                (I.PUT_VALUE, ("x", 4), 2), (I.CALL, 7, 1)]
-        fused, n = fuse_code(code)
-        assert n == 1
-        assert fused[0] == (I.PUT_ARGS, (("v", ("y", 0), 0),
-                                         ("c", A, 1),
-                                         ("v", ("x", 4), 2)))
-        assert fused[1] == (I.CALL, 7, 1)
-
-    def test_interrupted_runs_keep_order(self):
-        code = [(I.GET_CONSTANT, A, 0), (I.GET_VARIABLE, ("x", 1), 1),
-                (I.GET_CONSTANT, B, 2), (I.PROCEED,)]
-        fused, n = fuse_code(code)
-        assert n == 0 and fused == code
-
-    def test_multiple_runs_in_one_clause(self):
-        code = [(I.GET_CONSTANT, A, 0), (I.GET_CONSTANT, B, 1),
-                (I.PUT_CONSTANT, C, 0), (I.PUT_VALUE, ("x", 2), 1),
-                (I.CALL, 7, 0)]
-        fused, n = fuse_code(code)
-        assert n == 2
-        assert opcodes(fused) == {I.GET_CONSTANTS, I.PUT_ARGS, I.CALL}
-
-    def test_empty_code(self):
-        assert fuse_code([]) == ([], 0)
-
-
-# =====================================================================
-# Pass 2 unit tests — clause partition and guard planning
+# Unit tests — clause partition and guard planning
 # =====================================================================
 
 def _clause(*arg_keys, head_name="p"):
@@ -294,7 +224,7 @@ class TestChainGuard:
 
 
 # =====================================================================
-# Fused-opcode execution semantics
+# Optimized execution semantics
 # =====================================================================
 
 def machines(program, **kw):
@@ -318,34 +248,6 @@ def assert_agree(ms, goal, limit=50):
 
 
 class TestOptimizedExecution:
-    def test_get_constants_read_and_fail_modes(self):
-        ms = machines("f3(a, b, c). f3(d, e, f).")
-        assert ms["full"].optimizer.fusions > 0
-        assert_agree(ms, "f3(a, b, c)")
-        assert_agree(ms, "f3(a, b, z)")          # fails mid-run
-        assert_agree(ms, "f3(X, Y, Z)")
-        assert_agree(ms, "f3(a, Y, c)")
-
-    def test_unify_constants_read_and_write(self):
-        ms = machines("pt(p(1, 2, 3)).")
-        assert_agree(ms, "pt(p(1, 2, 3))")       # read mode
-        assert_agree(ms, "pt(p(1, 9, 3))")       # read-mode mismatch
-        answers = assert_agree(ms, "pt(X)")       # write mode
-        assert answers == ([(("X", "p(1,2,3)"),)], None)
-
-    def test_get_list_vv_read_and_write(self):
-        ms = machines("ht([H|T], H, T).")
-        assert_agree(ms, "ht([1, 2, 3], H, T)")   # read mode
-        answers = assert_agree(ms, "ht(L, 1, [])")  # write mode builds cell
-        assert answers == ([(("L", "[1]"),)], None)
-        assert_agree(ms, "ht([], H, T)")           # nil: get_list fails
-
-    def test_put_args_loads_call_arguments(self):
-        ms = machines("callee(A, B, f(A, B)). "
-                      "caller(X, R) :- callee(X, k, R).")
-        answers = assert_agree(ms, "caller(1, R)")
-        assert answers == ([(("R", "f(1,k)"),)], None)
-
     def test_switch_on_arg_hit_miss_unbound(self):
         ms = machines("age(alice, 30). age(bob, 31). age(carol, 32).")
         assert ms["full"].optimizer.chains_demoted > 0
@@ -378,21 +280,6 @@ class TestOptimizedExecution:
         assert stats["full"]["cp_created"] < stats["off"]["cp_created"]
         assert stats["full"]["instr_count"] < stats["off"]["instr_count"]
 
-    def test_instruction_count_drops_on_list_code(self):
-        ms = machines("nrev([], []). "
-                      "nrev([H|T], R) :- nrev(T, RT), append(RT, [H], R).")
-        goal = "nrev([a,b,c,d,e,f,g,h], R)"
-        stats = {}
-        for level, m in ms.items():
-            with measure(m) as meas:
-                assert collect(m, goal)[0]
-            stats[level] = meas
-        assert stats["peephole"]["instr_count"] < stats["off"]["instr_count"]
-        assert stats["full"]["instr_count"] <= \
-            stats["peephole"]["instr_count"]
-        # fusion preserves the paper's data-reference accounting
-        assert stats["full"]["data_refs"] == stats["off"]["data_refs"]
-
     def test_set_optimize_rebuilds_at_runtime(self):
         m = Machine(optimize="off")
         m.consult("age(alice, 30). age(bob, 31). age(carol, 32).")
@@ -415,7 +302,7 @@ class TestOptimizedExecution:
 
 
 # =====================================================================
-# Corpus differential suite (every tests/corpus/*.pl, three levels)
+# Corpus differential suite (every tests/corpus/*.pl, both levels)
 # =====================================================================
 
 def _corpus_files():
@@ -522,7 +409,7 @@ class TestWorkloadDifferential:
             assert session.machine.optimizer.rejects == 0
         assert results["full"] == results["off"]
         assert any(answers for answers, _ in results["off"])
-        assert stats["full"]["instr_count"] < stats["off"]["instr_count"]
+        assert stats["full"]["cp_created"] <= stats["off"]["cp_created"]
 
     def test_e7_colouring_agrees_unindexed(self):
         ms = machines(E7_NONDET_PROGRAM, index=False)
@@ -640,11 +527,24 @@ class TestGoldenListings:
             .split("%% optimize=full", 1)[1]
             for n, a in GOLDEN_PROCEDURES
             if (GOLDEN_DIR / f"{n}_{a}.txt").exists())
-        assert I.GET_CONSTANTS in full
-        assert I.UNIFY_CONSTANTS in full
-        assert I.GET_LIST_VV in full
-        assert I.PUT_ARGS in full
         assert I.SWITCH_ON_ARG in full
+
+    def test_unguarded_goldens_equal_the_unoptimized_listing(self):
+        """Without a ``switch_on_arg`` guard the optimizer leaves a
+        block alone: its ``full`` listing is the ``off`` one, byte for
+        byte."""
+        unguarded = 0
+        for name, arity in GOLDEN_PROCEDURES:
+            text = (GOLDEN_DIR / f"{name}_{arity}.txt").read_text(
+                encoding="utf-8")
+            off, full = (section.strip("\n") for section in
+                         text.split("%% optimize=off\n", 1)[1]
+                         .split("%% optimize=full\n", 1))
+            if I.SWITCH_ON_ARG in full:
+                continue
+            unguarded += 1
+            assert full == off, f"{name}/{arity}: full differs from off"
+        assert unguarded
 
 
 # =====================================================================
@@ -704,16 +604,14 @@ class TestNegativePaths:
         opt = Optimizer("full")
         layout = build_procedure_layout(compiled, index=True,
                                         optimizer=opt)
-        # corrupt a fused constant to a dead dictionary id (V103)
+        # corrupt a head constant to a dead dictionary id (V103)
         for offset, instr in enumerate(layout.code):
-            if instr[0] == I.GET_CONSTANTS:
-                items = tuple(((("atom", 10 ** 6), ai) if i == 0
-                               else (const, ai))
-                              for i, (const, ai) in enumerate(instr[1]))
-                layout.code[offset] = (I.GET_CONSTANTS, items)
+            if instr[0] == I.GET_CONSTANT:
+                layout.code[offset] = (I.GET_CONSTANT, ("atom", 10 ** 6),
+                                       instr[2])
                 break
         else:
-            pytest.fail("expected a get_constants instruction")
+            pytest.fail("expected a get_constant instruction")
         with pytest.raises(VerifyError) as exc:
             opt.gate(compiled, layout, index=True,
                      dictionary=m.dictionary, procedure="pair/2")
@@ -725,16 +623,17 @@ class TestNegativePaths:
         opt = Optimizer("full")
         layout = build_procedure_layout(compiled, index=True,
                                         optimizer=opt)
-        # reverse the items inside one superinstruction: the code still
-        # verifies (same shape, same registers, live constants), but no
+        # swap a clause's two head instructions: the code still
+        # verifies (same shapes, same registers, live constants), but no
         # longer equals the rebuild of its clause set (D301)
-        for offset, instr in enumerate(layout.code):
-            if instr[0] == I.GET_CONSTANTS:
-                layout.code[offset] = (I.GET_CONSTANTS,
-                                       tuple(reversed(instr[1])))
+        code = layout.code
+        for offset in range(len(code) - 1):
+            if code[offset][0] == code[offset + 1][0] == I.GET_CONSTANT:
+                code[offset], code[offset + 1] = \
+                    code[offset + 1], code[offset]
                 break
         else:
-            pytest.fail("expected a get_constants instruction")
+            pytest.fail("expected two adjacent get_constant instructions")
         with pytest.raises(VerifyError) as exc:
             opt.gate(compiled, layout, index=True,
                      dictionary=m.dictionary, procedure="pair/2")
@@ -778,16 +677,23 @@ class TestKnobPlumbing:
         assert Machine().optimizer.level == "full"
 
     def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            Machine(optimize="fast")
-        with pytest.raises(ValueError):
-            Optimizer("o2")
-        with pytest.raises(ValueError):
-            Machine(optimize="full").set_optimize("turbo")
+        for level in ("fast", "peephole"):
+            with pytest.raises(ValueError):
+                Machine(optimize=level)
+            with pytest.raises(ValueError):
+                Optimizer(level)
+            with pytest.raises(ValueError):
+                Machine(optimize="full").set_optimize(level)
+            with pytest.raises(ValueError):
+                EduceStar(optimize=level)
+            star = EduceStar(optimize="full")
+            with pytest.raises(ValueError):
+                star.set_optimize(level)
+            assert star.optimize == "full"
 
     def test_session_knob_and_property(self):
-        star = EduceStar(optimize="peephole")
-        assert star.optimize == "peephole"
+        star = EduceStar(optimize="off")
+        assert star.optimize == "off"
         star.set_optimize("full")
         assert star.optimize == "full"
         assert star.machine.optimizer is star.loader.optimizer
@@ -807,15 +713,14 @@ class TestKnobPlumbing:
         star.machine.consult("f3(a, b, c). f3(d, e, f).")
         counters = star.counters()
         assert counters["wam_opt_blocks"] > 0
-        assert counters["wam_opt_fusions"] > 0
         assert counters["wam_opt_rejects"] == 0
 
     def test_counters_in_prometheus_exposition(self):
         star = EduceStar(optimize="full")
         star.machine.consult("f3(a, b, c). f3(d, e, f).")
         text = render_prometheus(star.metrics.snapshot())
-        for counter in ("wam_opt_blocks", "wam_opt_fusions",
-                        "wam_opt_chains_demoted", "wam_opt_rejects"):
+        for counter in ("wam_opt_blocks", "wam_opt_chains_demoted",
+                        "wam_opt_mode_guards", "wam_opt_rejects"):
             assert f"educe_{counter}" in text
 
     def test_reset_counters_covers_optimizer(self):
@@ -838,16 +743,17 @@ class TestReplCommand:
     def test_optimize_set_and_show(self, capsys):
         repl = _load_repl()
         star = EduceStar(optimize="full")
-        repl.command(star, ":optimize peephole", interactive=False)
-        assert star.optimize == "peephole"
-        assert "optimize peephole" in capsys.readouterr().out
+        repl.command(star, ":optimize off", interactive=False)
+        assert star.optimize == "off"
+        assert "optimize off" in capsys.readouterr().out
         repl.command(star, ":optimize", interactive=False)
         out = capsys.readouterr().out
-        assert "optimize peephole" in out and "wam_opt_blocks" in out
+        assert "optimize off" in out and "wam_opt_blocks" in out
 
     def test_optimize_rejects_unknown_level(self, capsys):
         repl = _load_repl()
         star = EduceStar(optimize="full")
-        repl.command(star, ":optimize warp", interactive=False)
-        assert "usage: :optimize" in capsys.readouterr().out
-        assert star.optimize == "full"
+        for level in ("warp", "peephole"):
+            repl.command(star, f":optimize {level}", interactive=False)
+            assert "usage: :optimize" in capsys.readouterr().out
+            assert star.optimize == "full"

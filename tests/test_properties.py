@@ -220,11 +220,11 @@ def _random_program(rng):
                 else:
                     args.append(f"V{rng.randint(0, 1)}")
             lines.append(f"{name}({', '.join(args)}).")
-    # rules drive put_args fusion and call-chain codegen
+    # rules drive call-chain codegen
     lines.append("s(X, Y) :- p(X, Y).")
     lines.append("s(X, Y) :- q(X), r(X, Y, _).")
     lines.append("u(X) :- p(a, X).")
-    # list clauses drive get_list_vv and unify fusion
+    # list clauses drive get_list/unify_variable codegen
     lines.append("t([H|T], H, T).")
     lines.append("t([], nil, nil).")
     return "\n".join(lines)
